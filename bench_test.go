@@ -14,7 +14,10 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -32,6 +35,7 @@ import (
 	"repro/internal/qbench"
 	"repro/internal/qlegal"
 	"repro/internal/reslegal"
+	"repro/internal/service"
 	"repro/internal/tetris"
 	"repro/internal/topology"
 	"repro/internal/transpile"
@@ -512,5 +516,36 @@ func BenchmarkKernelMCFCancel(b *testing.B) {
 		if _, err := g.CancelNegativeCycles(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkServeLayoutHit is one served Eagle qGDP-DP layout-cache hit
+// through the full HTTP handler stack (QoS front-end, tracing, store
+// lookup, response encoding) into an httptest recorder. Its allocs/op
+// is the hit-path allocation budget CI guards: a hit reads the stored
+// report and encodes the layout once, so it must not grow with a
+// per-request metrics pass or a second encoding.
+func BenchmarkServeLayoutHit(b *testing.B) {
+	e := service.New(service.Options{Workers: 2})
+	defer e.Close()
+	h := service.NewHandler(e)
+	if _, err := e.Layout(context.Background(), service.LayoutRequest{
+		Topology: "Eagle", Strategy: core.QGDPDP, Config: core.DefaultConfig(),
+	}); err != nil {
+		b.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v1/layout?topology=Eagle&strategy=qGDP-DP", nil)
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	serve() // warm the pools a steady stream of hits reuses
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
 	}
 }

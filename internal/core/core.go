@@ -112,6 +112,11 @@ type Layout struct {
 	DPTime time.Duration
 	// QubitResult carries displacement/relaxation stats.
 	QubitResult qlegal.Result
+	// Report is the Table III quality report of Netlist. The serving
+	// engine fills it once when it computes the layout (its metric
+	// thresholds are part of the layout's cache key) and stores it with
+	// the layout; Legalize and Repair leave it zero.
+	Report metrics.Report
 }
 
 // Legalize applies a strategy to a clone of the GP solution.

@@ -23,10 +23,15 @@ import (
 // entry is treated as a miss and recomputed) is always cheaper.
 const SchemaVersion = 1
 
-// jsonNetlist is the stable on-disk schema; it mirrors netlist.Netlist
-// but decouples the file format from internal struct evolution. Any
-// change to the field layout must bump SchemaVersion.
-type jsonNetlist struct {
+// Document is the stable JSON schema of a layout; it mirrors
+// netlist.Netlist but decouples the file format from internal struct
+// evolution. Any change to the field layout must bump SchemaVersion.
+//
+// Embedding a Document in a larger JSON value (a store envelope, an
+// HTTP response) encodes the layout in the same pass as its wrapper,
+// producing exactly the bytes WriteJSON would, compacted or re-indented
+// to the wrapper's format.
+type Document struct {
 	Version    int             `json:"version"`
 	Name       string          `json:"name"`
 	W          float64         `json:"w"`
@@ -59,52 +64,59 @@ type jsonBlock struct {
 	Y     float64 `json:"y"`
 }
 
-// WriteJSON writes the netlist to w as indented JSON.
-func WriteJSON(w io.Writer, n *netlist.Netlist) error {
-	jn := jsonNetlist{
+// NewDocument builds the schema document of n. The document shares
+// n's resonator block lists, so it is a read-only view for encoding:
+// neither it nor n may be mutated while it is in use.
+func NewDocument(n *netlist.Netlist) Document {
+	d := Document{
 		Version: SchemaVersion,
 		Name:    n.Name, W: n.W, H: n.H, BlockSize: n.BlockSize,
 	}
-	for _, q := range n.Qubits {
-		jn.Qubits = append(jn.Qubits, jsonQubit{X: q.Pos.X, Y: q.Pos.Y, Size: q.Size, Freq: q.Freq})
+	// Empty lists stay nil and encode as null: stored envelopes and
+	// served bodies must keep their bytes.
+	if len(n.Qubits) > 0 {
+		d.Qubits = make([]jsonQubit, len(n.Qubits))
+		for i, q := range n.Qubits {
+			d.Qubits[i] = jsonQubit{X: q.Pos.X, Y: q.Pos.Y, Size: q.Size, Freq: q.Freq}
+		}
 	}
-	for _, r := range n.Resonators {
-		jn.Resonators = append(jn.Resonators, jsonResonator{
-			Q1: r.Q1, Q2: r.Q2, Freq: r.Freq, Length: r.Length,
-			Blocks: append([]int(nil), r.Blocks...),
-		})
+	if len(n.Resonators) > 0 {
+		d.Resonators = make([]jsonResonator, len(n.Resonators))
+		for i, r := range n.Resonators {
+			d.Resonators[i] = jsonResonator{Q1: r.Q1, Q2: r.Q2, Freq: r.Freq, Length: r.Length}
+			if len(r.Blocks) > 0 {
+				d.Resonators[i].Blocks = r.Blocks
+			}
+		}
 	}
-	for _, b := range n.Blocks {
-		jn.Blocks = append(jn.Blocks, jsonBlock{Edge: b.Edge, Index: b.Index, X: b.Pos.X, Y: b.Pos.Y})
+	if len(n.Blocks) > 0 {
+		d.Blocks = make([]jsonBlock, len(n.Blocks))
+		for i, b := range n.Blocks {
+			d.Blocks[i] = jsonBlock{Edge: b.Edge, Index: b.Index, X: b.Pos.X, Y: b.Pos.Y}
+		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jn)
+	return d
 }
 
-// ReadJSON reads a netlist previously written by WriteJSON and validates
-// it structurally.
-func ReadJSON(r io.Reader) (*netlist.Netlist, error) {
-	var jn jsonNetlist
-	if err := json.NewDecoder(r).Decode(&jn); err != nil {
-		return nil, fmt.Errorf("layoutio: decode: %w", err)
+// Netlist rebuilds the netlist a document describes and validates it
+// structurally. Documents of any other SchemaVersion are rejected.
+func (d *Document) Netlist() (*netlist.Netlist, error) {
+	if d.Version != SchemaVersion {
+		return nil, fmt.Errorf("layoutio: unsupported schema version %d (want %d)", d.Version, SchemaVersion)
 	}
-	if jn.Version != SchemaVersion {
-		return nil, fmt.Errorf("layoutio: unsupported schema version %d (want %d)", jn.Version, SchemaVersion)
-	}
-	n := &netlist.Netlist{Name: jn.Name, W: jn.W, H: jn.H, BlockSize: jn.BlockSize}
-	for i, q := range jn.Qubits {
+	n := &netlist.Netlist{Name: d.Name, W: d.W, H: d.H, BlockSize: d.BlockSize}
+	for i, q := range d.Qubits {
 		n.Qubits = append(n.Qubits, netlist.Qubit{
-			ID: i, Name: jn.Name, Pos: geom.Pt{X: q.X, Y: q.Y}, Size: q.Size, Freq: q.Freq,
+			ID: i, Name: d.Name, Pos: geom.Pt{X: q.X, Y: q.Y}, Size: q.Size, Freq: q.Freq,
 		})
 	}
-	for e, r := range jn.Resonators {
+	for e, r := range d.Resonators {
 		n.Resonators = append(n.Resonators, netlist.Resonator{
 			ID: e, Q1: r.Q1, Q2: r.Q2, Freq: r.Freq, Length: r.Length,
 			Blocks: append([]int(nil), r.Blocks...),
 		})
 	}
-	for i, b := range jn.Blocks {
+	for i, b := range d.Blocks {
 		n.Blocks = append(n.Blocks, netlist.WireBlock{
 			ID: i, Edge: b.Edge, Index: b.Index, Pos: geom.Pt{X: b.X, Y: b.Y},
 		})
@@ -113,6 +125,23 @@ func ReadJSON(r io.Reader) (*netlist.Netlist, error) {
 		return nil, fmt.Errorf("layoutio: invalid layout: %w", err)
 	}
 	return n, nil
+}
+
+// WriteJSON writes the netlist to w as indented JSON.
+func WriteJSON(w io.Writer, n *netlist.Netlist) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(NewDocument(n))
+}
+
+// ReadJSON reads a netlist previously written by WriteJSON and validates
+// it structurally.
+func ReadJSON(r io.Reader) (*netlist.Netlist, error) {
+	var d Document
+	if err := json.NewDecoder(r).Decode(&d); err != nil {
+		return nil, fmt.Errorf("layoutio: decode: %w", err)
+	}
+	return d.Netlist()
 }
 
 // SVGOptions tunes WriteSVG.

@@ -229,6 +229,7 @@ func (e *Engine) computeDelta(ctx context.Context, dev *topology.Device, req Del
 		}
 	}
 	sp.Attr("delta_path", path)
+	attachReport(lay, cfg)
 
 	// Never land a repair the client abandoned: like the cold layout
 	// path, the context is the last gate before any store tier sees the

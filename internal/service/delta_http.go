@@ -94,19 +94,19 @@ func deltaRequestFromBody(body io.Reader) (DeltaRequest, error) {
 // deltaResponse is the /v1/layout/delta body: the layout response plus
 // which repair path produced it.
 type deltaResponse struct {
-	Topology    string          `json:"topology"`
-	Strategy    core.Strategy   `json:"strategy"`
-	Seed        int64           `json:"seed"`
-	CacheHit    bool            `json:"cache_hit"`
-	Shared      bool            `json:"shared"`
-	Path        string          `json:"delta_path,omitempty"`
-	Report      metrics.Report  `json:"report"`
-	QubitMs     float64         `json:"tq_ms"`
-	ResonatorMs float64         `json:"te_ms"`
-	DPMs        float64         `json:"dp_ms"`
-	Layout      json.RawMessage `json:"layout"`
-	TraceID     string          `json:"trace_id,omitempty"`
-	Trace       *obs.SpanNode   `json:"trace,omitempty"`
+	Topology    string            `json:"topology"`
+	Strategy    core.Strategy     `json:"strategy"`
+	Seed        int64             `json:"seed"`
+	CacheHit    bool              `json:"cache_hit"`
+	Shared      bool              `json:"shared"`
+	Path        string            `json:"delta_path,omitempty"`
+	Report      metrics.Report    `json:"report"`
+	QubitMs     float64           `json:"tq_ms"`
+	ResonatorMs float64           `json:"te_ms"`
+	DPMs        float64           `json:"dp_ms"`
+	Layout      layoutio.Document `json:"layout"`
+	TraceID     string            `json:"trace_id,omitempty"`
+	Trace       *obs.SpanNode     `json:"trace,omitempty"`
 }
 
 func handleLayoutDelta(e *Engine, w http.ResponseWriter, r *http.Request) {
@@ -120,13 +120,7 @@ func handleLayoutDelta(e *Engine, w http.ResponseWriter, r *http.Request) {
 		writeRequestError(e, r.Context(), w, err)
 		return
 	}
-	var buf bytes.Buffer
-	if err := layoutio.WriteJSON(&buf, res.Layout.Netlist); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	cfg := e.withBudget(req.Config)
-	cfg.Obs = obs.SpanFrom(r.Context())
+	lay := res.Layout
 	resp := deltaResponse{
 		Topology:    req.Topology,
 		Strategy:    req.Strategy,
@@ -134,11 +128,11 @@ func handleLayoutDelta(e *Engine, w http.ResponseWriter, r *http.Request) {
 		CacheHit:    res.CacheHit,
 		Shared:      res.Shared,
 		Path:        res.Path,
-		Report:      core.Analyze(res.Layout.Netlist, cfg),
-		QubitMs:     float64(res.Layout.QubitTime.Nanoseconds()) / 1e6,
-		ResonatorMs: float64(res.Layout.ResonatorTime.Nanoseconds()) / 1e6,
-		DPMs:        float64(res.Layout.DPTime.Nanoseconds()) / 1e6,
-		Layout:      json.RawMessage(buf.Bytes()),
+		Report:      lay.Report,
+		QubitMs:     float64(lay.QubitTime.Nanoseconds()) / 1e6,
+		ResonatorMs: float64(lay.ResonatorTime.Nanoseconds()) / 1e6,
+		DPMs:        float64(lay.DPTime.Nanoseconds()) / 1e6,
+		Layout:      layoutio.NewDocument(lay.Netlist),
 	}
 	if r.URL.Query().Get("debug") == "trace" {
 		if sp := obs.SpanFrom(r.Context()); sp != nil {
@@ -147,7 +141,7 @@ func handleLayoutDelta(e *Engine, w http.ResponseWriter, r *http.Request) {
 			resp.Trace = snap.Root
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeEncoded(r.Context(), w, resp)
 }
 
 // routedDeltaHandler ring-routes POST /v1/layout/delta by the delta

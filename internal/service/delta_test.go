@@ -243,7 +243,7 @@ func TestDeltaHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dr deltaResponse
+	var dr deltaBody
 	if err := json.NewDecoder(post.Body).Decode(&dr); err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +490,7 @@ func TestRoutedDeltaForwarding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dr deltaResponse
+	var dr deltaBody
 	if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil {
 		t.Fatal(err)
 	}
@@ -508,4 +508,12 @@ func TestRoutedDeltaForwarding(t *testing.T) {
 	if !storeHas(engs[1].layStore, dkey) {
 		t.Error("delta result not stored on the owning replica")
 	}
+}
+
+// deltaBody is the part of a /v1/layout/delta response the tests read,
+// with the layout kept as raw bytes.
+type deltaBody struct {
+	CacheHit bool            `json:"cache_hit"`
+	Path     string          `json:"delta_path"`
+	Layout   json.RawMessage `json:"layout"`
 }

@@ -35,6 +35,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -886,7 +887,22 @@ func (e *Engine) computeLayout(ctx context.Context, req LayoutRequest) (*core.La
 	// span; followers coalesced into this flight share the tree via the
 	// recorded trace, not their own.
 	cfg.Obs = obs.SpanFrom(ctx)
-	return e.legalizeFn(ctx, gp, req.Strategy, cfg)
+	lay, err := e.legalizeFn(ctx, gp, req.Strategy, cfg)
+	if err != nil {
+		return nil, err
+	}
+	attachReport(lay, cfg)
+	return lay, nil
+}
+
+// attachReport computes lay's Table III report once, when the layout is
+// computed, so every later hit on any store tier serves it without
+// re-running the metrics pass. The hotspot list is copied to its exact
+// length: the report lives as long as the layout stays cached.
+func attachReport(lay *core.Layout, cfg core.Config) {
+	rep := core.Analyze(lay.Netlist, cfg)
+	rep.Hotspots = slices.Clone(rep.Hotspots)
+	lay.Report = rep
 }
 
 // gpFor returns the (immutable) global-placement solution for the
@@ -1029,19 +1045,6 @@ func (e *Engine) layoutForNested(ctx context.Context, req LayoutRequest) (*core.
 	return lay, err
 }
 
-// Analyze returns the layout-quality report for a cached-or-computed
-// layout. The metrics pass is cheap relative to placement, so it is not
-// cached separately.
-func (e *Engine) Analyze(ctx context.Context, req LayoutRequest) (metrics.Report, *core.Layout, error) {
-	res, err := e.Layout(ctx, req)
-	if err != nil {
-		return metrics.Report{}, nil, err
-	}
-	cfg := e.withBudget(req.Config)
-	cfg.Obs = obs.SpanFrom(ctx)
-	return core.Analyze(res.Layout.Netlist, cfg), res.Layout, nil
-}
-
 // SweepItem is one topology × strategy result of a Sweep stream.
 type SweepItem struct {
 	Topology string         `json:"topology"`
@@ -1092,7 +1095,7 @@ func (e *Engine) sweepOne(ctx context.Context, topo string, s core.Strategy, ben
 		return item
 	}
 	item.CacheHit = res.CacheHit
-	item.Report = core.Analyze(res.Layout.Netlist, e.withBudget(cfg))
+	item.Report = res.Layout.Report
 	item.QubitMs = float64(res.Layout.QubitTime.Nanoseconds()) / 1e6
 	item.ResonatorMs = float64(res.Layout.ResonatorTime.Nanoseconds()) / 1e6
 	if len(benches) == 0 {

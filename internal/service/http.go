@@ -227,9 +227,41 @@ func tracedHandler(e *Engine, name string, h http.HandlerFunc) http.HandlerFunc 
 		} else {
 			tr, root = obs.New(name)
 		}
-		h(w, r.WithContext(obs.WithSpan(r.Context(), root)))
+		hw := &heldWriter{ResponseWriter: w}
+		h(hw, r.WithContext(obs.WithSpan(r.Context(), root)))
 		e.recordTrace(name, tenantFrom(r.Context()), tr.Finish())
+		hw.release()
 	}
+}
+
+// heldWriter passes a response through except for the most recent body
+// write, which it holds until release. tracedHandler records the trace
+// before releasing it, so a client that has read the whole body finds
+// the request in /tracez and the slow log. The traced handlers write a
+// JSON body in one call, so the held write is the whole body; a
+// streamed forward body is held one chunk at a time. The held copy is
+// garbage once released: pooling it would keep the largest body alive.
+type heldWriter struct {
+	http.ResponseWriter
+	held []byte
+}
+
+func (h *heldWriter) Write(p []byte) (int, error) {
+	if err := h.release(); err != nil {
+		return 0, err
+	}
+	h.held = bytes.Clone(p)
+	return len(p), nil
+}
+
+// release writes the held bytes through.
+func (h *heldWriter) release() error {
+	if len(h.held) == 0 {
+		return nil
+	}
+	_, err := h.ResponseWriter.Write(h.held)
+	h.held = nil
+	return err
 }
 
 // traceRef formats the cluster.TraceHeader value for an outgoing hop:
@@ -570,16 +602,16 @@ func validStrategy(s core.Strategy) bool {
 
 // layoutResponse is the /v1/layout body.
 type layoutResponse struct {
-	Topology    string          `json:"topology"`
-	Strategy    core.Strategy   `json:"strategy"`
-	Seed        int64           `json:"seed"`
-	CacheHit    bool            `json:"cache_hit"`
-	Shared      bool            `json:"shared"`
-	Report      metrics.Report  `json:"report"`
-	QubitMs     float64         `json:"tq_ms"`
-	ResonatorMs float64         `json:"te_ms"`
-	DPMs        float64         `json:"dp_ms"`
-	Layout      json.RawMessage `json:"layout"`
+	Topology    string            `json:"topology"`
+	Strategy    core.Strategy     `json:"strategy"`
+	Seed        int64             `json:"seed"`
+	CacheHit    bool              `json:"cache_hit"`
+	Shared      bool              `json:"shared"`
+	Report      metrics.Report    `json:"report"`
+	QubitMs     float64           `json:"tq_ms"`
+	ResonatorMs float64           `json:"te_ms"`
+	DPMs        float64           `json:"dp_ms"`
+	Layout      layoutio.Document `json:"layout"`
 	// TraceID/Trace are present only with ?debug=trace: the request's
 	// span tree as of response time (the root span is still open). On a
 	// forwarded request the tree is the remote replica's half; the
@@ -604,24 +636,18 @@ func handleLayout(e *Engine, w http.ResponseWriter, r *http.Request) {
 		layoutio.WriteSVG(w, res.Layout.Netlist, layoutio.SVGOptions{Routes: true})
 		return
 	}
-	var buf bytes.Buffer
-	if err := layoutio.WriteJSON(&buf, res.Layout.Netlist); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	cfg := e.withBudget(req.Config)
-	cfg.Obs = obs.SpanFrom(r.Context())
+	lay := res.Layout
 	resp := layoutResponse{
 		Topology:    req.Topology,
 		Strategy:    req.Strategy,
 		Seed:        req.Config.GP.Seed,
 		CacheHit:    res.CacheHit,
 		Shared:      res.Shared,
-		Report:      core.Analyze(res.Layout.Netlist, cfg),
-		QubitMs:     float64(res.Layout.QubitTime.Nanoseconds()) / 1e6,
-		ResonatorMs: float64(res.Layout.ResonatorTime.Nanoseconds()) / 1e6,
-		DPMs:        float64(res.Layout.DPTime.Nanoseconds()) / 1e6,
-		Layout:      json.RawMessage(buf.Bytes()),
+		Report:      lay.Report,
+		QubitMs:     float64(lay.QubitTime.Nanoseconds()) / 1e6,
+		ResonatorMs: float64(lay.ResonatorTime.Nanoseconds()) / 1e6,
+		DPMs:        float64(lay.DPTime.Nanoseconds()) / 1e6,
+		Layout:      layoutio.NewDocument(lay.Netlist),
 	}
 	if r.URL.Query().Get("debug") == "trace" {
 		if sp := obs.SpanFrom(r.Context()); sp != nil {
@@ -630,7 +656,15 @@ func handleLayout(e *Engine, w http.ResponseWriter, r *http.Request) {
 			resp.Trace = snap.Root
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeEncoded(r.Context(), w, resp)
+}
+
+// writeEncoded writes a 200 JSON response under a service.encode span,
+// so a request's trace shows what encoding its body cost.
+func writeEncoded(ctx context.Context, w http.ResponseWriter, v any) {
+	sp := obs.SpanFrom(ctx).Child("service.encode")
+	writeJSON(w, http.StatusOK, v)
+	sp.End()
 }
 
 func handleFidelity(e *Engine, w http.ResponseWriter, r *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,13 +13,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/layoutio"
+	"repro/internal/metrics"
 	"repro/internal/netlist"
 	"repro/internal/qlegal"
 )
 
 // testLayout builds a small valid layout whose placement varies with
 // seed, so distinct keys store distinguishable content.
-func testLayout(t *testing.T, seed int) *core.Layout {
+func testLayout(t testing.TB, seed int) *core.Layout {
 	t.Helper()
 	n := &netlist.Netlist{
 		Name: fmt.Sprintf("test-%d", seed), W: 20, H: 20, BlockSize: 1,
@@ -42,6 +44,7 @@ func testLayout(t *testing.T, seed int) *core.Layout {
 		ResonatorTime: 2 * time.Millisecond,
 		DPTime:        3 * time.Millisecond,
 		QubitResult:   qlegal.Result{Displacement: float64(seed), FinalSpacing: 4, Relaxations: 1},
+		Report:        metrics.Analyze(n, metrics.DefaultParams()),
 	}
 }
 
@@ -123,6 +126,9 @@ func TestDiskRoundTrip(t *testing.T) {
 	// Layout metadata survives the round trip too.
 	if got.QubitTime != lay.QubitTime || got.DPTime != lay.DPTime || got.QubitResult != lay.QubitResult {
 		t.Errorf("metadata lost: got %v/%v/%+v", got.QubitTime, got.DPTime, got.QubitResult)
+	}
+	if !reflect.DeepEqual(got.Report, lay.Report) {
+		t.Errorf("report lost: got %+v, want %+v", got.Report, lay.Report)
 	}
 	// Content-addressed: a second put of the same key writes nothing new.
 	d.Put("layout:abc", lay)
@@ -255,7 +261,7 @@ func TestDiskCorruptTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := strings.Replace(string(data), `{"version":1`, `{"version":99`, 1)
+	stale := strings.Replace(string(data), fmt.Sprintf(`{"version":%d`, envelopeVersion), `{"version":99`, 1)
 	if stale == string(data) {
 		t.Fatal("fixture: envelope version not found to tamper")
 	}

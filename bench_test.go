@@ -452,31 +452,24 @@ func BenchmarkKernelMazeThickenWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelDPRefineWaves measures one full qGDP-DP refinement at
-// a forced lane count (clone excluded from the timer): lanes=1 is the
-// serial scan, lanes=4 the wave pipeline. Both produce bit-identical
-// layouts (see the dplace determinism suite); the delta is the Table
-// III speedup the parallelism budget buys on a multicore box.
-func BenchmarkKernelDPRefineWaves(b *testing.B) {
+// BenchmarkKernelDPRefine measures one full qGDP-DP refinement (clone
+// excluded from the timer).
+func BenchmarkKernelDPRefine(b *testing.B) {
 	for _, topo := range []string{"Grid", "Eagle"} {
-		for _, lanes := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/lanes-%d", topo, lanes), func(b *testing.B) {
-				base := legalized(b, topo)
-				p := dplace.DefaultParams()
-				p.Lanes = lanes
-				p.Par = parallel.NewBudget(lanes)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					n := base.Clone()
-					b.StartTimer()
-					if _, err := dplace.Refine(n, p); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(topo, func(b *testing.B) {
+			base := legalized(b, topo)
+			p := dplace.DefaultParams()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				n := base.Clone()
+				b.StartTimer()
+				if _, err := dplace.Refine(n, p); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

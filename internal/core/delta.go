@@ -2,13 +2,12 @@
 // canonical edit list (package topology), produce the edited layout by
 // repairing the dirty region instead of re-running the cold pipeline.
 //
-// The frozen-footprint argument (PR 3's wave scheduler) is what makes
-// the fast path sound: qubits never move during resonator legalization
-// or detailed placement, edits that only REMOVE hardware (dropouts)
-// only free space, and the dplace acceptance rule rejects any window
-// move that regresses its group objective — so a repair confined to the
-// dirty windows cannot disturb, or be disturbed by, the untouched rest
-// of the layout. Edits that invalidate global structure (a substrate
+// A frozen-footprint argument makes the fast path sound: qubits never
+// move during resonator legalization or detailed placement, edits that
+// only REMOVE hardware (dropouts) only free space, and the dplace
+// acceptance rule rejects any window move that regresses its group
+// objective — so a repair confined to the dirty windows cannot disturb,
+// or be disturbed by, the untouched rest of the layout. Edits that invalidate global structure (a substrate
 // resize) instead warm-start the force-directed placer from the base
 // positions and re-run the full legalization chain, which is still far
 // cheaper than a cold run because the placement starts near its fixed

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/layoutio"
-	"repro/internal/parallel"
 	"repro/internal/qlegal"
 	"repro/internal/topology"
 )
@@ -80,8 +79,7 @@ func couplerEdits(t *testing.T, dev *topology.Device) []topology.Edit {
 }
 
 // TestRepairDeterministic: the same repair is byte-identical across
-// repeated runs and across DP lane counts — parallelism must never
-// change results (the paper's determinism invariant, extended to the
+// repeated runs (the paper's determinism invariant, extended to the
 // delta path).
 func TestRepairDeterministic(t *testing.T) {
 	if testing.Short() {
@@ -93,14 +91,10 @@ func TestRepairDeterministic(t *testing.T) {
 	edits := dropoutEdits(t, dev)
 
 	var want []byte
-	for run, lanes := range []int{0, 0, 1, 8} { // 0: default budget, twice
-		c := cfg
-		if lanes > 0 {
-			c.DP.Par = parallel.NewBudget(lanes)
-		}
-		lay, warm, err := Repair(base, QGDPDP, c, edits)
+	for run := 0; run < 3; run++ {
+		lay, warm, err := Repair(base, QGDPDP, cfg, edits)
 		if err != nil {
-			t.Fatalf("run %d (lanes=%d): %v", run, lanes, err)
+			t.Fatalf("run %d: %v", run, err)
 		}
 		if warm {
 			t.Fatalf("run %d: dropout took the warm path", run)
@@ -109,7 +103,7 @@ func TestRepairDeterministic(t *testing.T) {
 		if want == nil {
 			want = got
 		} else if !bytes.Equal(got, want) {
-			t.Errorf("run %d (lanes=%d): repair bytes differ from first run", run, lanes)
+			t.Errorf("run %d: repair bytes differ from first run", run)
 		}
 	}
 }
@@ -120,7 +114,7 @@ func TestRepairDeterministic(t *testing.T) {
 // is within tolerance of the cold pipeline's. The placements differ
 // (repair inherits base positions, cold re-places from scratch) so
 // exact fidelity equality is not expected; the tolerance is
-// per-strategy. qGDP-DP's wave refinement converges both placements to
+// per-strategy. qGDP-DP's window refinement converges both placements to
 // the same local structure, so its tolerance is tight (observed diffs
 // < 0.002). qGDP-LG carries no refinement stage — its fidelity
 // inherits the full variance between two legitimate placements, in

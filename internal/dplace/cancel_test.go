@@ -28,10 +28,9 @@ func TestRefinePreCancelledDoesNoWork(t *testing.T) {
 	}
 }
 
-// Cancelling mid-run aborts promptly: the serial scan checks the
-// channel before every window and the wave pipeline before every wave,
-// so a close that lands mid-refinement must surface context.Canceled
-// well before MaxPasses full passes complete.
+// Cancelling mid-run aborts promptly: the scan checks the channel
+// before every window, so a close that lands mid-refinement must
+// surface context.Canceled well before MaxPasses full passes complete.
 func TestRefineCancelMidRunAborts(t *testing.T) {
 	// The largest available topology keeps refinement busy long enough
 	// for a close landing a few ms in to be observably mid-run.

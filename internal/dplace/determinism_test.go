@@ -5,10 +5,16 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/abacus"
 	"repro/internal/geom"
+	"repro/internal/gplace"
 	"repro/internal/maze"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
+	"repro/internal/qlegal"
+	"repro/internal/reslegal"
+	"repro/internal/tetris"
+	"repro/internal/topology"
 )
 
 // referenceRefine is the pre-optimization detailed placer: a fresh maze
@@ -202,33 +208,64 @@ func referenceQubitAdjacent(n *netlist.Netlist, g *maze.Grid, q int) []maze.Cell
 	return g.Adjacent(x0, y0, x1, y1)
 }
 
+// legalizedWith builds a legalized layout for dev using the given
+// resonator legalizer, so the determinism suite covers every upstream
+// strategy the detailed placer can be asked to refine.
+func legalizedWith(t *testing.T, dev *topology.Device, resLegalize func(*netlist.Netlist) error) *netlist.Netlist {
+	t.Helper()
+	n := topology.Build(dev, topology.DefaultBuildParams())
+	gplace.Place(n, gplace.DefaultParams())
+	if _, err := qlegal.Legalize(n, qlegal.QuantumParams()); err != nil {
+		t.Fatal(err)
+	}
+	if err := resLegalize(n); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// strategies are the resonator legalization flavors feeding qGDP-DP in
+// the determinism suite.
+var strategies = []struct {
+	name     string
+	legalize func(*netlist.Netlist) error
+}{
+	{"qGDP-LG", func(n *netlist.Netlist) error { _, err := reslegal.Legalize(n); return err }},
+	{"Q-Tetris", func(n *netlist.Netlist) error { _, err := tetris.Legalize(n); return err }},
+	{"Q-Abacus", func(n *netlist.Netlist) error { _, err := abacus.Legalize(n); return err }},
+}
+
 // TestRefineMatchesSerialReference asserts the incremental-grid engine
 // reproduces the rebuild-per-candidate reference exactly: identical
-// block positions, identical acceptance counts, on every topology.
+// block positions, identical acceptance counts, on every topology and
+// every upstream legalization strategy.
 func TestRefineMatchesSerialReference(t *testing.T) {
 	p := DefaultParams()
 	for _, dev := range testDevices() {
-		base := legalized(t, dev)
+		for _, strat := range strategies {
+			name := dev.Name + "/" + strat.name
+			base := legalizedWith(t, dev, strat.legalize)
 
-		got := base.Clone()
-		gotRes, err := Refine(got, p)
-		if err != nil {
-			t.Fatalf("%s: %v", dev.Name, err)
-		}
+			got := base.Clone()
+			gotRes, err := Refine(got, p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 
-		want := base.Clone()
-		wantRes, err := referenceRefine(want, p)
-		if err != nil {
-			t.Fatalf("%s reference: %v", dev.Name, err)
-		}
+			want := base.Clone()
+			wantRes, err := referenceRefine(want, p)
+			if err != nil {
+				t.Fatalf("%s reference: %v", name, err)
+			}
 
-		if gotRes != wantRes {
-			t.Errorf("%s: result %+v, reference %+v", dev.Name, gotRes, wantRes)
-		}
-		for i := range got.Blocks {
-			if got.Blocks[i].Pos != want.Blocks[i].Pos {
-				t.Fatalf("%s: block %d at %v, reference %v",
-					dev.Name, i, got.Blocks[i].Pos, want.Blocks[i].Pos)
+			if gotRes != wantRes {
+				t.Errorf("%s: result %+v, reference %+v", name, gotRes, wantRes)
+			}
+			for i := range got.Blocks {
+				if got.Blocks[i].Pos != want.Blocks[i].Pos {
+					t.Fatalf("%s: block %d at %v, reference %v",
+						name, i, got.Blocks[i].Pos, want.Blocks[i].Pos)
+				}
 			}
 		}
 	}

@@ -18,21 +18,14 @@
 // than to the whole layout. The accepted layouts are identical to the
 // rebuild-per-candidate reference placer.
 //
-// When the parallelism budget grants more than one lane, candidate
-// windows are refined in waves: the longest prefix of the candidate
-// order whose footprints are pairwise disjoint is evaluated
-// concurrently — each lane owns a full refiner state (grid, occupancy,
-// route cache, netlist view) — and the accepted moves are merged in
-// canonical candidate order. A window's footprint over-approximates
-// everything its evaluation reads or writes, so wave members cannot
-// observe each other and the refined layout is bit-identical to the
-// serial scan for every lane count (see the determinism suite).
+// Windows are refined one at a time in candidate order: each window's
+// evaluation reads the layout every earlier accepted move left behind,
+// which is what Algorithm 2's worst-first scan prescribes.
 package dplace
 
 import (
 	"context"
 	"math"
-	"runtime"
 	"sort"
 	"time"
 
@@ -42,8 +35,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/parallel"
-	"repro/internal/scratch"
 )
 
 // Params tunes the detailed placer.
@@ -56,23 +47,15 @@ type Params struct {
 	MaxAdjacent int
 	// MaxPasses bounds the scan-and-fix iterations.
 	MaxPasses int
-	// Par is the parallelism budget wave refinement draws lanes from;
-	// nil uses the process-wide default. Excluded from request hashing:
-	// lane count never changes the produced layout.
-	Par *parallel.Budget `json:"-"`
-	// Lanes caps the lanes requested from the budget; 0 means
-	// GOMAXPROCS. Tests use it to force multi-lane waves on small
-	// machines.
-	Lanes int `json:"-"`
-	// Obs is the span refinement passes and waves hang under (stamped
-	// by core.Legalize from the request trace); nil disables tracing.
-	// Excluded from hashing like Par/Lanes.
+	// Obs is the span refinement passes hang under (stamped by
+	// core.Legalize from the request trace); nil disables tracing.
+	// Excluded from request hashing.
 	Obs *obs.Span `json:"-"`
-	// Cancel, when non-nil and closed, aborts refinement at the next
-	// wave boundary: Refine returns context.Canceled and the netlist
-	// is left mid-refinement (the caller must discard it). A blown
-	// request deadline therefore costs at most one wave of work.
-	// Stamped per call like Par; excluded from request hashing.
+	// Cancel, when non-nil and closed, aborts refinement before the
+	// next window: Refine returns context.Canceled and the netlist is
+	// left mid-refinement (the caller must discard it). A blown request
+	// deadline therefore costs at most one window of work. Stamped per
+	// call like Obs; excluded from request hashing.
 	Cancel <-chan struct{} `json:"-"`
 }
 
@@ -97,8 +80,7 @@ type Result struct {
 }
 
 // Refine runs Algorithm 2 on a legalized netlist, mutating wire-block
-// positions in place. Qubits never move. The refined layout is
-// independent of how many lanes the parallelism budget grants.
+// positions in place. Qubits never move.
 func Refine(n *netlist.Netlist, p Params) (Result, error) {
 	return refine(n, p, nil)
 }
@@ -121,18 +103,6 @@ func refine(n *netlist.Netlist, p Params, regions []geom.Rect) (Result, error) {
 	r := newRefiner(n, p)
 	r.regions = regions
 
-	want := p.Lanes
-	if want <= 0 {
-		want = runtime.GOMAXPROCS(0)
-	}
-	grant := p.Par.Acquire(want)
-	defer grant.Release()
-	var pr *parRefiner
-	if grant.Lanes() > 1 {
-		pr = newParRefiner(r, grant)
-		defer pr.release()
-	}
-
 	var res Result
 	for pass := 0; pass < p.MaxPasses; pass++ {
 		if cancelled(p.Cancel) {
@@ -142,31 +112,15 @@ func refine(n *netlist.Netlist, p Params, regions []geom.Rect) (Result, error) {
 		ps := p.Obs.Child("dplace.pass")
 		cands := r.candidates()
 		res.Considered += len(cands)
+		kernstats.DPSerialWindows.Add(int64(len(cands)))
 		accepted := 0
-		if pr == nil {
-			kernstats.DPSerialWindows.Add(int64(len(cands)))
-			ws := ps.Child("dplace.wave")
-			ws.AttrInt("windows", int64(len(cands)))
-			ws.AttrInt("lanes", 1)
-			for _, e := range cands {
-				// The serial scan treats each window as its own wave,
-				// so cancellation aborts within one window's work.
-				if cancelled(p.Cancel) {
-					ws.End()
-					ps.End()
-					return res, context.Canceled
-				}
-				if r.refineWindow(e) {
-					accepted++
-				}
-			}
-			ws.End()
-		} else {
-			var err error
-			accepted, err = pr.refinePass(cands, ps)
-			if err != nil {
+		for _, e := range cands {
+			if cancelled(p.Cancel) {
 				ps.End()
-				return res, err
+				return res, context.Canceled
+			}
+			if r.refineWindow(e) {
+				accepted++
 			}
 		}
 		ps.AttrInt("windows", int64(len(cands)))
@@ -207,9 +161,6 @@ type refiner struct {
 
 	// regions, when non-nil, restricts the candidate scan to resonators
 	// whose route box touches one of the rects (the delta fast path).
-	// Set only on the master refiner, after construction: wave lanes
-	// never scan candidates, and reset() clears it so a pooled lane
-	// refiner cannot leak a stale filter into a later run.
 	regions []geom.Rect
 
 	inGroup []bool
@@ -225,30 +176,18 @@ type refiner struct {
 }
 
 func newRefiner(n *netlist.Netlist, p Params) *refiner {
-	r := &refiner{}
-	r.reset(n, p)
-	return r
-}
-
-// reset (re)initializes the refiner against a netlist, reusing every
-// buffer — the pooled lane refiners of the wave pipeline rebuild their
-// state with it once per Refine call.
-func (r *refiner) reset(n *netlist.Netlist, p Params) {
 	w := int(math.Round(n.W))
 	h := int(math.Round(n.H))
-	r.n, r.p, r.w, r.h = n, p, w, h
-	r.regions = nil
-	if r.g == nil {
-		r.g = maze.NewGrid(w, h)
-	} else {
-		r.g.Reset(w, h)
+	r := &refiner{
+		n: n, p: p, w: w, h: h,
+		g:        maze.NewGrid(w, h),
+		static:   make([]bool, w*h),
+		occ:      make([]int32, w*h),
+		routes:   make([]geom.Polyline, len(n.Resonators)),
+		boxes:    make([]geom.Rect, len(n.Resonators)),
+		inGroup:  make([]bool, len(n.Resonators)),
+		crossing: make([]int, len(n.Resonators)),
 	}
-	r.static = scratch.Grow(r.static, w*h)
-	r.occ = scratch.Grow(r.occ, w*h)
-	r.routes = scratch.Grow(r.routes, len(n.Resonators))
-	r.boxes = scratch.Grow(r.boxes, len(n.Resonators))
-	r.inGroup = scratch.Grow(r.inGroup, len(n.Resonators))
-	r.crossing = scratch.Grow(r.crossing, len(n.Resonators))
 	// Qubit macros are permanent obstacles.
 	for qi := range n.Qubits {
 		rect := n.Qubits[qi].Rect()
@@ -270,6 +209,7 @@ func (r *refiner) reset(n *netlist.Netlist, p Params) {
 	for i := range n.Blocks {
 		r.occupy(cellOf(n.Blocks[i].Pos))
 	}
+	return r
 }
 
 // occupy adds one block to a cell, blocking it on the 0 -> 1 edge.
@@ -406,20 +346,9 @@ func (a windowObjective) betterThan(b windowObjective) bool {
 
 // refineWindow attempts one window rip-up/re-place; reports acceptance.
 func (r *refiner) refineWindow(e int) bool {
-	group := r.windowGroup(e)
-	return r.refineWindowIn(group, r.windowRect(group), nil)
-}
-
-// refineWindowIn runs the rip-up/re-place of the window whose group and
-// rect were computed against the refiner's current state. With
-// placedOut == nil an accepted move stays applied (the serial path).
-// With placedOut non-nil the evaluation is speculative: the accepted
-// cells (group order, each resonator's blocks in order) are copied out
-// and the refiner is restored to its pre-call state bit for bit, so a
-// wave lane can evaluate concurrently and the move can be committed
-// later in canonical candidate order via applyMove.
-func (r *refiner) refineWindowIn(group []int, win geom.Rect, placedOut *[]maze.Cell) bool {
 	n := r.n
+	group := r.windowGroup(e)
+	win := r.windowRect(group)
 	for _, ge := range group {
 		r.inGroup[ge] = true
 	}
@@ -472,31 +401,7 @@ func (r *refiner) refineWindowIn(group []int, win geom.Rect, placedOut *[]maze.C
 		r.invalidateRoutes(group)
 		return false
 	}
-	if placedOut != nil {
-		*placedOut = append((*placedOut)[:0], r.placed...)
-		r.revert()
-		r.invalidateRoutes(group)
-	}
 	return true
-}
-
-// applyMove commits one accepted window's cells to the refiner:
-// occupancy deltas, block positions, and route invalidation. The wave
-// pipeline applies every accepted move to the master and to each lane
-// state, in canonical candidate order, which is exactly the state the
-// serial scan would have produced.
-func (r *refiner) applyMove(group []int, cells []maze.Cell) {
-	k := 0
-	for _, ge := range group {
-		for _, id := range r.n.Resonators[ge].Blocks {
-			c := cells[k]
-			k++
-			r.vacate(cellOf(r.n.Blocks[id].Pos))
-			r.n.Blocks[id].Pos = geom.Pt{X: float64(c.X) + 0.5, Y: float64(c.Y) + 0.5}
-			r.occupy(c)
-		}
-	}
-	r.invalidateRoutes(group)
 }
 
 // revert restores the snapshot positions and the matching occupancy.
@@ -519,12 +424,6 @@ type near struct {
 // windowGroup returns e plus up to MaxAdjacent resonators whose blocks
 // lie nearest to e's blocks (the "adjacent resonators" of Fig. 7).
 func (r *refiner) windowGroup(e int) []int {
-	return r.appendWindowGroup(nil, e)
-}
-
-// appendWindowGroup appends the window group of e to dst and returns
-// it — the arena-building form the wave scheduler uses.
-func (r *refiner) appendWindowGroup(dst []int, e int) []int {
 	n := r.n
 	nears := r.nears[:0]
 	for o := range n.Resonators {
@@ -543,15 +442,14 @@ func (r *refiner) appendWindowGroup(dst []int, e int) []int {
 		}
 		return nears[i].e < nears[j].e
 	})
-	base := len(dst)
-	dst = append(dst, e)
+	group := []int{e}
 	for _, nr := range nears {
-		if len(dst)-base > r.p.MaxAdjacent {
+		if len(group) > r.p.MaxAdjacent {
 			break
 		}
-		dst = append(dst, nr.e)
+		group = append(group, nr.e)
 	}
-	return dst
+	return group
 }
 
 // resonatorDistance is the minimum block-to-block center distance.

@@ -4,25 +4,16 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/gplace"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
-	"repro/internal/qlegal"
-	"repro/internal/reslegal"
 	"repro/internal/topology"
 )
 
+// legalized is dev placed and legalized with qGDP-LG, the default
+// input to detailed placement.
 func legalized(t *testing.T, dev *topology.Device) *netlist.Netlist {
 	t.Helper()
-	n := topology.Build(dev, topology.DefaultBuildParams())
-	gplace.Place(n, gplace.DefaultParams())
-	if _, err := qlegal.Legalize(n, qlegal.QuantumParams()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reslegal.Legalize(n); err != nil {
-		t.Fatal(err)
-	}
-	return n
+	return legalizedWith(t, dev, strategies[0].legalize)
 }
 
 func assertLegal(t *testing.T, name string, n *netlist.Netlist) {

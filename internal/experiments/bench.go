@@ -38,8 +38,8 @@ type BenchPoint struct {
 	// Kernels are the process-wide hot-kernel counters accumulated over
 	// the run (calls, cumulative ms, scratch reuse).
 	Kernels map[string]kernstats.Snapshot `json:"kernels"`
-	// Counters are the process-wide event counters: DP wave sizes,
-	// scheduling conflicts, serial-path windows.
+	// Counters are the process-wide event counters: DP windows, store
+	// tiers, jobs, cluster and delta traffic.
 	Counters map[string]int64 `json:"counters,omitempty"`
 	// Engine is the serving-layer cache/singleflight picture.
 	Engine service.StatsSnapshot `json:"engine"`
@@ -91,10 +91,10 @@ func (p *BenchPoint) WriteJSON(w io.Writer) error {
 }
 
 // LivePoint samples a trajectory point from a running engine without
-// recomputing the tables: the hot-kernel counters, wave/conflict
-// counters, and engine stats accumulated since process start. Table
-// II/III are omitted (nothing is measured on demand), so sampling is
-// free and safe to expose on a production instance.
+// recomputing the tables: the hot-kernel counters, event counters and
+// engine stats accumulated since process start. Table II/III are
+// omitted (nothing is measured on demand), so sampling is free and safe
+// to expose on a production instance.
 func LivePoint(eng *service.Engine, pr int) *BenchPoint {
 	engine := eng.Stats()
 	engine.Kernels = nil

@@ -48,7 +48,7 @@ func TestBenchzHandlerServesLivePoint(t *testing.T) {
 			t.Fatalf("kernel %s has no calls in live point", k)
 		}
 	}
-	if _, ok := p.Counters["dplace.waves"]; !ok {
-		t.Fatal("live point missing dplace wave counters")
+	if _, ok := p.Counters["dplace.serial_windows"]; !ok {
+		t.Fatal("live point missing dplace window counter")
 	}
 }

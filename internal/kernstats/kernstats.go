@@ -84,25 +84,14 @@ type Snapshot struct {
 
 // Counter is a named atomic registered in the obs metrics registry,
 // used for event counts that are not whole-kernel timings:
-// detailed-placement wave sizes, scheduling conflicts, parallel-lane
-// usage. Counters appear on /statsz next to the kernel snapshots and
+// detailed-placement windows, store tier traffic, job queue events.
+// Counters appear on /statsz next to the kernel snapshots and
 // on /metricsz as qgdp_<name>_total.
 type Counter = obs.Counter
 
-// The detailed-placement wave counters. A wave is one conflict-free
-// batch of candidate windows refined concurrently; deferred counts
-// windows pushed to a later wave because their footprint overlapped an
-// earlier pending window (the conflict rate is deferred over scheduled
-// + deferred). Lanes accumulates the lane count of every wave, so
-// lanes/waves is the mean worker parallelism the refiner actually got
-// from the budget.
-var (
-	DPWaves         = registerCounter("dplace.waves")
-	DPWaveWindows   = registerCounter("dplace.wave_windows")
-	DPWaveDeferred  = registerCounter("dplace.wave_deferred")
-	DPWaveLanes     = registerCounter("dplace.wave_lanes")
-	DPSerialWindows = registerCounter("dplace.serial_windows")
-)
+// DPSerialWindows counts the candidate windows detailed placement
+// examined, summed over every pass of every Refine call.
+var DPSerialWindows = registerCounter("dplace.serial_windows")
 
 // The tiered layout-store counters (process-wide across every store
 // instance; a store's own Stats() gives the per-store view). A healthy

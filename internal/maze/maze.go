@@ -66,34 +66,6 @@ func NewGrid(w, h int) *Grid {
 	}
 }
 
-// Reset re-targets the grid at w × h with every cell unblocked, the
-// window cleared, and all storage reused when capacity allows. The
-// detailed placer's pooled lane refiners use it to recycle grids across
-// Refine calls on different substrates. Epoch stamps survive a reset:
-// they are only ever compared against future epochs, which are strictly
-// larger than any stamp written before the reset.
-func (g *Grid) Reset(w, h int) {
-	n := w * h
-	g.w, g.h = w, h
-	if cap(g.blocked) < n {
-		g.blocked = make([]bool, n)
-		g.visited = make([]int32, n)
-		g.parent = make([]int32, n)
-		g.target = make([]int32, n)
-		g.selected = make([]int32, n)
-	} else {
-		g.blocked = g.blocked[:n]
-		for i := range g.blocked {
-			g.blocked[i] = false
-		}
-		g.visited = g.visited[:n]
-		g.parent = g.parent[:n]
-		g.target = g.target[:n]
-		g.selected = g.selected[:n]
-	}
-	g.wx0, g.wy0, g.wx1, g.wy1 = 0, 0, w, h
-}
-
 // W returns the grid width.
 func (g *Grid) W() int { return g.w }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -133,12 +134,40 @@ func TestParseSLO(t *testing.T) {
 		"throughput:p99:250ms:99.9",   // unknown kind
 		"latency:p0:250ms:99.9",       // pNN out of range
 		"latency:p99:250ms:99.9:more", // too many parts
+		"latency:p99:1s:NaN",          // NaN target
+		"latency:pNaN:1s:99",          // NaN quantile
+		"fidelity:min:NaN:99",         // NaN floor
 	}
 	for _, in := range bad {
 		if _, err := ParseSLO(in); err == nil {
 			t.Fatalf("ParseSLO(%q) succeeded, want error", in)
 		}
 	}
+}
+
+// FuzzParseSLO checks that the -slo parser never panics and that every
+// spec it accepts has a finite target in (0, 100) and a finite positive
+// threshold, so burn rates and /slolz stay encodable.
+func FuzzParseSLO(f *testing.F) {
+	for _, s := range []string{
+		"latency:p99:250ms:99.9",
+		"fidelity:min:0.85:99",
+		"latency:p99:1s:NaN",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sp, err := ParseSLO(s)
+		if err != nil {
+			return
+		}
+		if math.IsNaN(sp.Target) || sp.Target <= 0 || sp.Target >= 100 {
+			t.Fatalf("ParseSLO(%q) accepted target %v", s, sp.Target)
+		}
+		if math.IsNaN(sp.Threshold) || math.IsInf(sp.Threshold, 0) || sp.Threshold <= 0 {
+			t.Fatalf("ParseSLO(%q) accepted threshold %v", s, sp.Threshold)
+		}
+	})
 }
 
 func TestSLOWindowAdvance(t *testing.T) {

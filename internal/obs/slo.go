@@ -26,6 +26,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,6 +73,8 @@ type SLOSpec struct {
 }
 
 // ParseSLO parses the -slo grammar: kind:qualifier:threshold:target.
+// Numbers must be finite: a NaN target would make the error budget NaN,
+// which neither burn arithmetic nor JSON encoding can carry.
 func ParseSLO(s string) (SLOSpec, error) {
 	parts := strings.Split(strings.TrimSpace(s), ":")
 	if len(parts) != 4 {
@@ -79,7 +82,7 @@ func ParseSLO(s string) (SLOSpec, error) {
 	}
 	kind, qual, thr, tgt := parts[0], parts[1], parts[2], parts[3]
 	target, err := strconv.ParseFloat(tgt, 64)
-	if err != nil || target <= 0 || target >= 100 {
+	if err != nil || math.IsNaN(target) || target <= 0 || target >= 100 {
 		return SLOSpec{}, fmt.Errorf("slo %q: target %q must be a percentage in (0, 100)", s, tgt)
 	}
 	spec := SLOSpec{Raw: s, Kind: kind, Target: target}
@@ -88,7 +91,7 @@ func ParseSLO(s string) (SLOSpec, error) {
 		if len(qual) < 2 || qual[0] != 'p' {
 			return SLOSpec{}, fmt.Errorf("slo %q: latency qualifier %q must be pNN", s, qual)
 		}
-		if q, err := strconv.ParseFloat(qual[1:], 64); err != nil || q <= 0 || q > 100 {
+		if q, err := strconv.ParseFloat(qual[1:], 64); err != nil || math.IsNaN(q) || q <= 0 || q > 100 {
 			return SLOSpec{}, fmt.Errorf("slo %q: latency qualifier %q must be pNN", s, qual)
 		}
 		d, err := time.ParseDuration(thr)
@@ -101,7 +104,7 @@ func ParseSLO(s string) (SLOSpec, error) {
 			return SLOSpec{}, fmt.Errorf("slo %q: fidelity qualifier must be \"min\"", s)
 		}
 		f, err := strconv.ParseFloat(thr, 64)
-		if err != nil || f <= 0 || f > 1 {
+		if err != nil || math.IsNaN(f) || f <= 0 || f > 1 {
 			return SLOSpec{}, fmt.Errorf("slo %q: fidelity floor %q must be in (0, 1]", s, thr)
 		}
 		spec.Threshold = f

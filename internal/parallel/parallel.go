@@ -1,7 +1,6 @@
 // Package parallel provides the engine-wide parallelism budget and the
 // persistent worker pool behind every intra-job parallel kernel:
-// gplace's sharded repulsion loop, dplace's concurrent window waves,
-// and the sharded crossing-pair metric.
+// gplace's sharded repulsion loop and the sharded crossing-pair metric.
 //
 // The problem it solves is oversubscription. Each of those kernels is
 // internally parallel, and the serving layer runs many placement jobs
@@ -16,13 +15,13 @@
 //
 // Lanes above the caller's own goroutine execute on a persistent
 // worker pool owned by the budget, so a kernel that runs thousands of
-// parallel rounds (220 force iterations per placement, one round per
-// DP wave) reuses the same goroutines instead of respawning them.
+// parallel rounds (220 force iterations per placement) reuses the same
+// goroutines instead of respawning them.
 //
 // Determinism is the caller's contract, not this package's: every
 // kernel built on a Grant must produce bit-identical results for any
-// lane count (see gplace's shard replay and dplace's conflict-free
-// waves). The budget only decides how many lanes run, never what they
+// lane count (see gplace's shard replay and metrics' ordered shard
+// merge). The budget only decides how many lanes run, never what they
 // compute.
 package parallel
 

@@ -62,8 +62,8 @@ type Options struct {
 	CacheSize int
 	// ParallelBudget caps the total compute lanes the engine's
 	// in-flight jobs may use for their internally parallel kernels (GP
-	// repulsion shards, DP refinement waves, crossing-pair shards). 0
-	// shares the process-wide default budget (GOMAXPROCS lanes).
+	// repulsion shards and crossing-pair shards). 0 shares the
+	// process-wide default budget (GOMAXPROCS lanes).
 	// Whatever the budget grants, every job's output is bit-identical
 	// to its serial computation.
 	ParallelBudget int
@@ -495,10 +495,8 @@ type StatsSnapshot struct {
 	// steady-state engine shows scratch_reuses far above scratch_allocs.
 	Kernels map[string]kernstats.Snapshot `json:"kernels,omitempty"`
 	// Counters are the process-wide event counters (detailed-placement
-	// wave sizes, scheduling conflicts, serial-path windows). The mean
-	// wave size is wave_windows/waves; the conflict rate is
-	// wave_deferred over wave_windows + wave_deferred; worker
-	// utilization is wave_lanes/waves against the budget's capacity.
+	// windows, store tiers, jobs, cluster and delta traffic; see
+	// package kernstats).
 	Counters map[string]int64 `json:"counters,omitempty"`
 	// Parallel snapshots the engine's lane budget: grants, denials,
 	// tokens in use, and the high-water mark of concurrently running
@@ -653,21 +651,21 @@ func fidelityKey(req FidelityRequest) string {
 	}{req.Topology, req.Strategy, req.Benchmark, req.Config})
 }
 
-// withBudget stamps the engine's parallelism budget into every stage's
-// params before a computation runs. The stamped fields carry json:"-"
+// withBudget stamps the engine's parallelism budget into the params of
+// the internally parallel stages (GP repulsion, crossing-pair metrics)
+// before a computation runs. The stamped fields carry json:"-"
 // and are excluded from request hashing, so cache keys and layouts are
 // unchanged — the budget only decides how many lanes compute them.
 func (e *Engine) withBudget(cfg core.Config) core.Config {
 	cfg.GP.Par = e.budget
-	cfg.DP.Par = e.budget
 	cfg.Metrics.Par = e.budget
 	return cfg
 }
 
 // withCancel threads the request context's cancellation into the
 // placement kernels: gplace checks it per force-directed iteration,
-// dplace per serial window and per wave. Like Par/Obs, the Cancel
-// fields carry json:"-" and never reach cache keys; an aborted
+// dplace before every window. Like Par/Obs, the Cancel fields carry
+// json:"-" and never reach cache keys; an aborted
 // computation surfaces context.Canceled before any partial result can
 // be cached (Legalize errors skip the store Put, and gpFor re-checks
 // ctx before caching a GP solution).

@@ -48,7 +48,7 @@ func spanNames(n *obs.SpanNode, into map[string]bool) {
 
 // TestLayoutTraceCoversPipeline: a real (unstubbed) qGDP-DP request with
 // ?debug=trace returns a span tree covering every pipeline stage —
-// queue wait, GP, legalization, the DP refinement waves, and the
+// queue wait, GP, legalization, the DP refinement passes, and the
 // metrics scoring pass.
 func TestLayoutTraceCoversPipeline(t *testing.T) {
 	srv, _ := testServer(t)
@@ -68,7 +68,7 @@ func TestLayoutTraceCoversPipeline(t *testing.T) {
 	for _, want := range []string{
 		"/v1/layout", "queue.wait", "topology.build", "gplace.place",
 		"qlegal.legalize", "reslegal.qgdp", "dplace.refine", "dplace.pass",
-		"dplace.wave", "metrics.analyze", "store.put",
+		"metrics.analyze", "store.put",
 	} {
 		if !names[want] {
 			t.Errorf("trace missing stage %q (have %v)", want, names)

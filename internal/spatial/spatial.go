@@ -119,120 +119,3 @@ func (g *Grid) Bucket(kx, ky int) []int32 {
 	k := bx + g.nx*by
 	return g.order[g.starts[k]:g.starts[k+1]]
 }
-
-// RectIndex is an incremental bucket index over axis-aligned rectangles
-// within a fixed world, answering "does this rectangle intersect any
-// indexed rectangle?" queries. The detailed placer uses it to schedule
-// conflict-free refinement waves: a candidate window's footprint is
-// queried against the footprints already admitted to (or deferred from)
-// the wave. Like Grid, the zero value is ready to use and all internal
-// storage is reused across Reset calls, so steady-state indexing
-// allocates nothing.
-//
-// Rectangles are closed: touching edges count as an intersection,
-// which is the conservative direction for conflict detection.
-type RectIndex struct {
-	cell   float64
-	nx, ny int
-
-	buckets [][]int32 // rect IDs per cell, in insertion order
-	dirty   []int32   // bucket indices to clear on Reset
-
-	x0s, y0s, x1s, y1s []float64 // per-rect bounds
-	stamp              []int64   // per-rect last-visited query
-	query              int64     // monotonically increasing query ID
-}
-
-// Reset re-targets the index at an empty world of size w × h bucketed
-// at the given cell pitch. Rectangles extending beyond the world are
-// bucketed into its border cells, so queries remain exact everywhere.
-func (ri *RectIndex) Reset(cell, w, h float64) {
-	if cell <= 0 {
-		cell = 1
-	}
-	ri.cell = cell
-	ri.nx = int(w/cell) + 1
-	ri.ny = int(h/cell) + 1
-	nb := ri.nx * ri.ny
-	// Dirty buckets are cleared before any resize: their indices refer
-	// to the previous world's (possibly longer) bucket slice.
-	for _, k := range ri.dirty {
-		ri.buckets[k] = ri.buckets[k][:0]
-	}
-	ri.dirty = ri.dirty[:0]
-	if cap(ri.buckets) < nb {
-		ri.buckets = make([][]int32, nb)
-	}
-	ri.buckets = ri.buckets[:nb]
-	ri.x0s, ri.y0s = ri.x0s[:0], ri.y0s[:0]
-	ri.x1s, ri.y1s = ri.x1s[:0], ri.y1s[:0]
-	ri.stamp = ri.stamp[:0]
-}
-
-// keyRange returns the clamped bucket-coordinate span of a rectangle.
-// Both ends clamp into the world, so rectangles partly or wholly
-// outside it land in the border buckets and are still tested exactly.
-func (ri *RectIndex) keyRange(lo, hi float64, n int) (k0, k1 int) {
-	k0 = int(lo / ri.cell)
-	k1 = int(hi / ri.cell)
-	if k0 < 0 {
-		k0 = 0
-	} else if k0 > n-1 {
-		k0 = n - 1
-	}
-	if k1 < 0 {
-		k1 = 0
-	} else if k1 > n-1 {
-		k1 = n - 1
-	}
-	return k0, k1
-}
-
-// Add indexes the rectangle [x0,x1] × [y0,y1] and returns its ID
-// (dense, in insertion order).
-func (ri *RectIndex) Add(x0, y0, x1, y1 float64) int {
-	id := len(ri.x0s)
-	ri.x0s = append(ri.x0s, x0)
-	ri.y0s = append(ri.y0s, y0)
-	ri.x1s = append(ri.x1s, x1)
-	ri.y1s = append(ri.y1s, y1)
-	ri.stamp = append(ri.stamp, 0)
-	kx0, kx1 := ri.keyRange(x0, x1, ri.nx)
-	ky0, ky1 := ri.keyRange(y0, y1, ri.ny)
-	for ky := ky0; ky <= ky1; ky++ {
-		for kx := kx0; kx <= kx1; kx++ {
-			k := ky*ri.nx + kx
-			if len(ri.buckets[k]) == 0 {
-				ri.dirty = append(ri.dirty, int32(k))
-			}
-			ri.buckets[k] = append(ri.buckets[k], int32(id))
-		}
-	}
-	return id
-}
-
-// Overlaps reports whether [x0,x1] × [y0,y1] intersects (closure
-// inclusive) any rectangle in the index.
-func (ri *RectIndex) Overlaps(x0, y0, x1, y1 float64) bool {
-	ri.query++
-	kx0, kx1 := ri.keyRange(x0, x1, ri.nx)
-	ky0, ky1 := ri.keyRange(y0, y1, ri.ny)
-	for ky := ky0; ky <= ky1; ky++ {
-		for kx := kx0; kx <= kx1; kx++ {
-			for _, id := range ri.buckets[ky*ri.nx+kx] {
-				if ri.stamp[id] == ri.query {
-					continue
-				}
-				ri.stamp[id] = ri.query
-				if x0 <= ri.x1s[id] && ri.x0s[id] <= x1 &&
-					y0 <= ri.y1s[id] && ri.y0s[id] <= y1 {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// Len returns the number of indexed rectangles.
-func (ri *RectIndex) Len() int { return len(ri.x0s) }

@@ -473,6 +473,29 @@ func BenchmarkKernelDPRefine(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelGroupHotspotWeight measures the detailed placer's
+// per-window hotspot objective for a fixed 4-resonator group, with the
+// pooled enumeration scratch warm.
+func BenchmarkKernelGroupHotspotWeight(b *testing.B) {
+	for _, topo := range []string{"Grid", "Eagle"} {
+		b.Run(topo, func(b *testing.B) {
+			lay := legalized(b, topo)
+			p := metrics.DefaultParams()
+			inGroup := make([]bool, len(lay.Resonators))
+			for e := 0; e < 4; e++ {
+				inGroup[e] = true
+			}
+			weight := metrics.GroupHotspotWeight(lay, p, inGroup) // warm the scratch pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				weight = metrics.GroupHotspotWeight(lay, p, inGroup)
+			}
+			b.ReportMetric(weight, "hotspot_weight")
+		})
+	}
+}
+
 // BenchmarkKernelCrossingPairs measures the crossing-pair scan (routes
 // recomputed per call, as Analyze pays it) serial versus sharded.
 func BenchmarkKernelCrossingPairs(b *testing.B) {

@@ -2,6 +2,7 @@ package dplace
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -81,8 +82,8 @@ func referenceCandidates(n *netlist.Netlist, p Params) []int {
 }
 
 func referenceRefineWindow(n *netlist.Netlist, p Params, e int) bool {
-	r := &refiner{n: n, p: p} // only for windowGroup/windowRect helpers
-	group := r.windowGroup(e)
+	group := referenceWindowGroup(n, p, e)
+	r := &refiner{n: n, p: p} // only for the windowRect helper
 	win := r.windowRect(group)
 
 	before := referenceMeasure(n, p, group)
@@ -104,6 +105,37 @@ func referenceRefineWindow(n *netlist.Netlist, p Params, e int) bool {
 		return false
 	}
 	return true
+}
+
+// referenceWindowGroup is the unpruned group selection: the block
+// distance to every other resonator is measured, with no route-box
+// screen, so a pruning slip in (*refiner).windowGroup changes the
+// engine's groups but not these.
+func referenceWindowGroup(n *netlist.Netlist, p Params, e int) []int {
+	var nears []near
+	for o := range n.Resonators {
+		if o == e {
+			continue
+		}
+		d := resonatorDistance(n, e, o)
+		if d <= float64(p.WindowMargin)+1 {
+			nears = append(nears, near{o, d})
+		}
+	}
+	sort.Slice(nears, func(i, j int) bool {
+		if nears[i].d != nears[j].d {
+			return nears[i].d < nears[j].d
+		}
+		return nears[i].e < nears[j].e
+	})
+	group := []int{e}
+	for _, nr := range nears {
+		if len(group) > p.MaxAdjacent {
+			break
+		}
+		group = append(group, nr.e)
+	}
+	return group
 }
 
 func referenceRevert(n *netlist.Netlist, saved map[int]geom.Pt) {
@@ -265,6 +297,39 @@ func TestRefineMatchesSerialReference(t *testing.T) {
 				if got.Blocks[i].Pos != want.Blocks[i].Pos {
 					t.Fatalf("%s: block %d at %v, reference %v",
 						name, i, got.Blocks[i].Pos, want.Blocks[i].Pos)
+				}
+			}
+		}
+	}
+}
+
+// TestWindowGroupAndMeasureMatchReference checks the two per-window
+// scans directly on unrefined layouts: the pruned group selection equals
+// the unpruned reference, and the group-restricted objective equals the
+// full-layout metrics filtered to the group, for every resonator's
+// window on every upstream strategy.
+func TestWindowGroupAndMeasureMatchReference(t *testing.T) {
+	p := DefaultParams()
+	for _, dev := range testDevices() {
+		for _, strat := range strategies {
+			name := dev.Name + "/" + strat.name
+			n := legalizedWith(t, dev, strat.legalize)
+			r := newRefiner(n, p)
+			for e := range n.Resonators {
+				group := r.windowGroup(e)
+				want := referenceWindowGroup(n, p, e)
+				if !slices.Equal(group, want) {
+					t.Fatalf("%s: window group of %d = %v, reference %v", name, e, group, want)
+				}
+				for _, ge := range group {
+					r.inGroup[ge] = true
+				}
+				got, ref := r.measure(group), referenceMeasure(n, p, group)
+				for _, ge := range group {
+					r.inGroup[ge] = false
+				}
+				if got != ref {
+					t.Fatalf("%s: window %v objective %+v, reference %+v", name, group, got, ref)
 				}
 			}
 		}

@@ -13,10 +13,14 @@
 // restriction to the problem window is a maze.Grid window instead of a
 // mass-block of every outside cell. Resonator routes and their bounding
 // boxes are cached and invalidated only for the resonators a window
-// touches, and the window objective uses the group-restricted metric
-// kernels, so a candidate costs work proportional to its window rather
-// than to the whole layout. The accepted layouts are identical to the
-// rebuild-per-candidate reference placer.
+// touches. Group selection measures block distances only to resonators
+// whose route box lies within reach of the problem resonator's; the
+// hotspot objective scans only the wire blocks in the 3×3 bucket
+// neighborhood of the group's blocks; and the crossing objective tests
+// only pairs with an end in the group. A candidate therefore costs work
+// proportional to its neighborhood rather than to the whole layout. The
+// accepted layouts are identical to the rebuild-per-candidate reference
+// placer.
 //
 // Windows are refined one at a time in candidate order: each window's
 // evaluation reads the layout every earlier accepted move left behind,
@@ -423,15 +427,29 @@ type near struct {
 
 // windowGroup returns e plus up to MaxAdjacent resonators whose blocks
 // lie nearest to e's blocks (the "adjacent resonators" of Fig. 7).
+//
+// Only resonators whose cached route box lies within reach of e's are
+// measured. A route passes through every block center, so its box bounds
+// them all, and a center distance (math.Hypot) is never below its larger
+// axis component: a resonator whose box is farther than the cutoff from
+// e's along either axis has no block pair within the cutoff. The geom.Eps
+// slack absorbs the rounding of the center/size form of the boxes.
 func (r *refiner) windowGroup(e int) []int {
 	n := r.n
+	cutoff := float64(r.p.WindowMargin) + 1
+	r.route(e)
+	be := r.boxes[e]
 	nears := r.nears[:0]
 	for o := range n.Resonators {
 		if o == e {
 			continue
 		}
+		r.route(o)
+		if axisGap(be, r.boxes[o]) > cutoff+geom.Eps {
+			continue
+		}
 		d := resonatorDistance(n, e, o)
-		if d <= float64(r.p.WindowMargin)+1 {
+		if d <= cutoff {
 			nears = append(nears, near{o, d})
 		}
 	}
@@ -450,6 +468,14 @@ func (r *refiner) windowGroup(e int) []int {
 		group = append(group, nr.e)
 	}
 	return group
+}
+
+// axisGap is the larger of the x and y separations of a and b (0 when
+// their projections overlap on both axes).
+func axisGap(a, b geom.Rect) float64 {
+	dx := math.Max(b.MinX()-a.MaxX(), a.MinX()-b.MaxX())
+	dy := math.Max(b.MinY()-a.MaxY(), a.MinY()-b.MaxY())
+	return math.Max(0, math.Max(dx, dy))
 }
 
 // resonatorDistance is the minimum block-to-block center distance.
@@ -508,14 +534,17 @@ func (r *refiner) measure(group []int) windowObjective {
 		o.clusters += n.ClusterCount(e)
 	}
 	o.hotspots = metrics.GroupHotspotWeight(n, r.p.Metrics, r.inGroup)
-	for i := range n.Resonators {
-		r.route(i)
-	}
-	for i := range n.Resonators {
-		for j := i + 1; j < len(n.Resonators); j++ {
-			if !r.inGroup[i] && !r.inGroup[j] {
+	// Crossings of every pair with an end in the group; a pair with both
+	// ends in the group is counted from its lower end only. The sum is an
+	// integer, so the visiting order does not matter.
+	for _, g := range group {
+		r.route(g)
+		for k := range n.Resonators {
+			if k == g || (r.inGroup[k] && k < g) {
 				continue
 			}
+			r.route(k)
+			i, j := min(g, k), max(g, k)
 			if !r.boxes[i].Touches(r.boxes[j]) {
 				continue
 			}

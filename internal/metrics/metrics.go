@@ -130,26 +130,47 @@ func Hotspots(n *netlist.Netlist, p Params) []PairHotspot {
 	return out
 }
 
-// gridPool recycles the bucket-grid scratch across metric evaluations;
+// hotScratch is the pooled scratch of the block-hotspot enumeration:
+// the bucket grid, and the per-block primary marks of a group-restricted
+// scan. A mark is live when it equals the current epoch, so the array is
+// never cleared in full between calls.
+type hotScratch struct {
+	grid  spatial.Grid
+	mark  []uint32
+	epoch uint32
+}
+
+// hotPool recycles the enumeration scratch across metric evaluations;
 // the hotspot enumeration runs on every detailed-placement window, so
 // rebuilding a map hash per call would dominate the DP profile.
-var gridPool = sync.Pool{New: func() any { return new(spatial.Grid) }}
+var hotPool = sync.Pool{New: func() any { return new(hotScratch) }}
 
 // forEachBlockHotspot enumerates proximate block-block hotspot pairs in
 // the canonical order (ascending primary block, fixed neighbor-bucket
 // sweep, ascending secondary within a bucket) and calls emit for each.
-// When include is non-nil, pairs whose resonator pair it rejects are
-// skipped before any geometry is computed — the enumeration order of
-// surviving pairs, and therefore any order-sensitive accumulation over
-// them, is unchanged.
-func forEachBlockHotspot(n *netlist.Netlist, p Params, include func(ei, ej int) bool, emit func(PairHotspot)) {
+//
+// When inGroup is non-nil, only pairs with at least one resonator in the
+// group are emitted, and only primaries in the 3×3 bucket neighborhood
+// of a group block are scanned: a surviving pair (i<j) has i or j in the
+// group, and if it is j then i lies in one of j's neighbor buckets,
+// because bucket adjacency is symmetric. The surviving pairs therefore
+// keep their enumeration order, and so does any order-sensitive
+// accumulation over them.
+func forEachBlockHotspot(n *netlist.Netlist, p Params, inGroup []bool, emit func(PairHotspot)) {
 	cell := math.Max(2, p.DMax+1)
-	grid := gridPool.Get().(*spatial.Grid)
-	defer gridPool.Put(grid)
+	s := hotPool.Get().(*hotScratch)
+	defer hotPool.Put(s)
+	grid := &s.grid
 	grid.Build(cell, len(n.Blocks), func(i int) (float64, float64) {
 		return n.Blocks[i].Pos.X, n.Blocks[i].Pos.Y
 	})
+	if inGroup != nil {
+		s.markGroupNeighborhood(n, inGroup)
+	}
 	for i := range n.Blocks {
+		if inGroup != nil && s.mark[i] != s.epoch {
+			continue
+		}
 		bi := &n.Blocks[i]
 		kx, ky := grid.Key(bi.Pos.X, bi.Pos.Y)
 		ri := n.BlockRect(i)
@@ -165,7 +186,7 @@ func forEachBlockHotspot(n *netlist.Netlist, p Params, include func(ei, ej int) 
 					if bj.Edge == bi.Edge {
 						continue
 					}
-					if include != nil && !include(bi.Edge, bj.Edge) {
+					if inGroup != nil && !inGroup[bi.Edge] && !inGroup[bj.Edge] {
 						continue
 					}
 					rj := n.BlockRect(j)
@@ -196,17 +217,47 @@ func forEachBlockHotspot(n *netlist.Netlist, p Params, include func(ei, ej int) 
 	}
 }
 
+// markGroupNeighborhood stamps the current epoch on every block in the
+// 3×3 bucket neighborhood of a block of a group resonator. The grid must
+// already be built over n's blocks.
+func (s *hotScratch) markGroupNeighborhood(n *netlist.Netlist, inGroup []bool) {
+	if cap(s.mark) < len(n.Blocks) {
+		s.mark = make([]uint32, len(n.Blocks))
+		s.epoch = 0
+	}
+	s.mark = s.mark[:len(n.Blocks)]
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stale stamps could collide
+		clear(s.mark)
+		s.epoch = 1
+	}
+	for e := range n.Resonators {
+		if !inGroup[e] {
+			continue
+		}
+		for _, id := range n.Resonators[e].Blocks {
+			kx, ky := s.grid.Key(n.Blocks[id].Pos.X, n.Blocks[id].Pos.Y)
+			for dx := -1; dx <= 1; dx++ {
+				for dy := -1; dy <= 1; dy++ {
+					for _, j := range s.grid.Bucket(kx+dx, ky+dy) {
+						s.mark[j] = s.epoch
+					}
+				}
+			}
+		}
+	}
+}
+
 // GroupHotspotWeight sums the weights of the block-block hotspot pairs
 // that involve at least one resonator with inGroup[e] true. It equals,
 // bit for bit, filtering Hotspots over the same predicate and summing in
 // list order (qubit-qubit pairs carry EdgeI = EdgeJ = -1 and never
-// match) — but skips all geometry work for pairs outside the group,
-// which is what makes the detailed placer's per-window objective cheap.
+// match) — but visits only the group's bucket neighborhood, which is
+// what makes the detailed placer's per-window objective cost its window
+// rather than the whole layout.
 func GroupHotspotWeight(n *netlist.Netlist, p Params, inGroup []bool) float64 {
 	var sum float64
-	forEachBlockHotspot(n, p,
-		func(ei, ej int) bool { return inGroup[ei] || inGroup[ej] },
-		func(h PairHotspot) { sum += h.Weight })
+	forEachBlockHotspot(n, p, inGroup, func(h PairHotspot) { sum += h.Weight })
 	return sum
 }
 

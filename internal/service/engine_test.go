@@ -162,7 +162,9 @@ func TestContextCancellationMidJob(t *testing.T) {
 	e, _ := stubEngine(Options{Workers: 2})
 	// The stage blocks until its context dies, simulating a long
 	// legalization that honors cancellation.
+	started := make(chan struct{}, 1)
 	e.legalizeFn = func(ctx context.Context, _ *netlist.Netlist, _ core.Strategy, _ core.Config) (*core.Layout, error) {
+		started <- struct{}{}
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
@@ -173,7 +175,11 @@ func TestContextCancellationMidJob(t *testing.T) {
 		_, err := e.Layout(ctx, layoutReq("Grid", core.QGDPLG))
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the job reach the blocking stage
+	select {
+	case <-started: // the job is inside the blocking stage
+	case <-time.After(5 * time.Second):
+		t.Fatal("job never reached the legalize stage")
+	}
 	cancel()
 
 	select {
@@ -398,7 +404,9 @@ func TestFidelitySingleWorkerNoDeadlock(t *testing.T) {
 }
 
 func TestCancelWhileQueued(t *testing.T) {
-	e, _ := stubEngine(Options{Workers: 1})
+	// A bounded queue turns on admission, which counts the tenant-tagged
+	// request below while it waits for the slot.
+	e, _ := stubEngine(Options{Workers: 1, MaxQueue: 1})
 	block := make(chan struct{})
 	started := make(chan struct{}, 1)
 	e.legalizeFn = func(_ context.Context, gp *netlist.Netlist, _ core.Strategy, _ core.Config) (*core.Layout, error) {
@@ -409,13 +417,15 @@ func TestCancelWhileQueued(t *testing.T) {
 	go e.Layout(context.Background(), layoutReq("Grid", core.QGDPLG))
 	<-started // the only worker slot is now held
 
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(withTenant(context.Background(), "acme"))
 	queued := make(chan error, 1)
 	go func() {
 		_, err := e.Layout(ctx, layoutReq("Falcon", core.QGDPLG))
 		queued <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	waitFor(t, "the second request to queue", func() bool {
+		return e.Stats().Admission.Queued == 1
+	})
 	cancel()
 	select {
 	case err := <-queued:

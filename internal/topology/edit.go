@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -22,6 +23,12 @@ const (
 	// graph, but it invalidates every placement globally.
 	EditResize = "resize"
 )
+
+// MaxResizeSide caps each side of a resized substrate, in layout cells.
+// The warm repair path allocates routing and bin grids of W·H cells, so
+// an unbounded resize would let one request demand arbitrary memory;
+// the largest evaluation substrate (Aspen-M) is 102 cells on a side.
+const MaxResizeSide = 1024
 
 // Edit is one entry of a delta request's edit list. Which fields are
 // meaningful depends on Op: disable_qubit and retune use Qubit (retune
@@ -61,8 +68,9 @@ func editRank(op string) int {
 // spelled its list. Rejected: unknown ops, out-of-range indices,
 // unknown couplers, duplicate or conflicting entries (two retunes of
 // one qubit, a retune of a disabled qubit, a coupler edit incident to
-// a disabled qubit, more than one resize), non-positive frequencies or
-// dimensions, and the empty list.
+// a disabled qubit, more than one resize), non-positive or non-finite
+// frequencies or dimensions, a resize side above MaxResizeSide, and the
+// empty list.
 func Canonicalize(base *Device, edits []Edit) ([]Edit, error) {
 	if len(edits) == 0 {
 		return nil, fmt.Errorf("edit list: empty")
@@ -111,8 +119,8 @@ func Canonicalize(base *Device, edits []Edit) ([]Edit, error) {
 			if e.Qubit < 0 || e.Qubit >= base.Qubits {
 				return nil, fmt.Errorf("edit %d: qubit %d out of range [0,%d)", i, e.Qubit, base.Qubits)
 			}
-			if e.Freq <= 0 {
-				return nil, fmt.Errorf("edit %d: retune frequency %g must be positive", i, e.Freq)
+			if !(e.Freq > 0) || math.IsInf(e.Freq, 1) {
+				return nil, fmt.Errorf("edit %d: retune frequency %g must be positive and finite", i, e.Freq)
 			}
 			if retuned[e.Qubit] {
 				return nil, fmt.Errorf("edit %d: qubit %d retuned twice", i, e.Qubit)
@@ -120,8 +128,9 @@ func Canonicalize(base *Device, edits []Edit) ([]Edit, error) {
 			retuned[e.Qubit] = true
 			out = append(out, Edit{Op: EditRetune, Qubit: e.Qubit, Freq: e.Freq})
 		case EditResize:
-			if e.W <= 0 || e.H <= 0 {
-				return nil, fmt.Errorf("edit %d: resize %gx%g must be positive", i, e.W, e.H)
+			if !(e.W > 0 && e.W <= MaxResizeSide && e.H > 0 && e.H <= MaxResizeSide) {
+				return nil, fmt.Errorf("edit %d: resize %gx%g must be positive, finite and at most %d per side",
+					i, e.W, e.H, MaxResizeSide)
 			}
 			if resized {
 				return nil, fmt.Errorf("edit %d: more than one resize", i)

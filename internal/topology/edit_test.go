@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -86,11 +88,31 @@ func TestCanonicalizeRejects(t *testing.T) {
 		{"two resizes", []Edit{
 			{Op: EditResize, W: 40, H: 40}, {Op: EditResize, W: 50, H: 50}}},
 		{"nonpositive resize", []Edit{{Op: EditResize, W: 0, H: 40}}},
+		{"NaN frequency", []Edit{{Op: EditRetune, Qubit: 2, Freq: math.NaN()}}},
+		{"infinite frequency", []Edit{{Op: EditRetune, Qubit: 2, Freq: math.Inf(1)}}},
+		{"negative infinite frequency", []Edit{{Op: EditRetune, Qubit: 2, Freq: math.Inf(-1)}}},
+		{"NaN resize", []Edit{{Op: EditResize, W: math.NaN(), H: 40}}},
+		{"infinite resize", []Edit{{Op: EditResize, W: 40, H: math.Inf(1)}}},
+		{"huge resize", []Edit{{Op: EditResize, W: 1e6, H: 1e6}}},
+		{"resize one past the cap", []Edit{{Op: EditResize, W: 40, H: MaxResizeSide + 1}}},
 	}
 	for _, tc := range cases {
 		if _, err := Canonicalize(dev, tc.edits); err == nil {
 			t.Errorf("%s: accepted, want error", tc.name)
 		}
+	}
+}
+
+// TestCanonicalizeResizeCap: a resize up to MaxResizeSide per side is
+// accepted as given.
+func TestCanonicalizeResizeCap(t *testing.T) {
+	edits := []Edit{{Op: EditResize, W: MaxResizeSide, H: MaxResizeSide}}
+	got, err := Canonicalize(Grid25(), edits)
+	if err != nil {
+		t.Fatalf("resize at the cap rejected: %v", err)
+	}
+	if !slices.Equal(got, edits) {
+		t.Errorf("canonical resize %+v, want %+v", got, edits)
 	}
 }
 
